@@ -31,6 +31,7 @@ N worker processes.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -309,16 +310,24 @@ class _Running:
 class _FreeProfile:
     """Free-node count over future time, for reservation carving.
 
-    A step function represented as breakpoints ``(time, avail)``; the
+    A step function kept as sorted breakpoints ``(time, avail)``; the
     last value extends to infinity.  ``earliest_fit`` finds the first
-    time a demand fits for a duration; ``reserve`` carves it out.
-    O(n^2) over breakpoints — traces are tens of jobs, not millions.
+    breakpoint at which a demand fits for a duration; ``reserve`` carves
+    it out.  Every lookup is a bisection, so over n breakpoints a fit
+    costs O(n log n) and a backfill pass O(queue * n log n).  The fit
+    never rescans a window: when a candidate start's window holds a
+    breakpoint ``b`` short of the demand, every later start up to ``b``
+    opens its window at or before ``b`` and, window ends only moving
+    right, holds ``b`` too, so the search jumps straight past ``b``.
     """
 
     def __init__(self, now: float, avail: int, releases: list[tuple[float, int]]):
+        # plain floats: the same values as numpy scalars, compared faster
+        now = float(now)
         points: dict[float, int] = {now: 0}
         for t, n in releases:
-            points[max(t, now)] = points.get(max(t, now), 0) + n
+            t = max(float(t), now)
+            points[t] = points.get(t, 0) + n
         self._times = sorted(points)
         level = avail
         self._avail = []
@@ -327,39 +336,40 @@ class _FreeProfile:
             self._avail.append(level)
 
     def _avail_at(self, t: float) -> int:
-        avail = 0
-        for bt, av in zip(self._times, self._avail):
-            if bt <= t + 1e-12:
-                avail = av
-            else:
-                break
-        return avail
+        i = bisect_right(self._times, t + 1e-12)
+        return self._avail[i - 1] if i else 0
 
     def earliest_fit(self, need: int, duration: float) -> float:
         # candidate starts are profile breakpoints only: on a carved
         # (non-monotonic) profile that can be slightly pessimistic, but
         # never lets a backfill delay an earlier reservation.
-        for start in self._times:
-            window_end = start + duration
-            ok = all(
-                av >= need
-                for bt, av in zip(self._times, self._avail)
-                if start - 1e-12 <= bt < window_end - 1e-12
-            ) and self._avail_at(start) >= need
-            if ok:
+        times = self._times
+        short = [i for i, av in enumerate(self._avail) if av < need]
+        s = 0
+        while s < len(times):
+            start = times[s]
+            lo = bisect_left(times, start - 1e-12)
+            hi = bisect_left(times, start + duration - 1e-12)
+            j = bisect_left(short, hi) - 1  # last shortfall before the window ends
+            if j >= 0 and short[j] >= lo:
+                s = max(s, short[j]) + 1
+            elif self._avail_at(start) >= need:
                 return start
+            else:
+                s += 1
         raise ExperimentError("reservation does not fit on any horizon")
 
     def reserve(self, start: float, duration: float, need: int) -> None:
+        times, avail = self._times, self._avail
         end = start + duration
         for t in (start, end):
-            if t not in self._times:
-                idx = len([bt for bt in self._times if bt < t])
-                self._times.insert(idx, t)
-                self._avail.insert(idx, self._avail[idx - 1] if idx > 0 else 0)
-        for i, bt in enumerate(self._times):
-            if start - 1e-12 <= bt < end - 1e-12:
-                self._avail[i] -= need
+            idx = bisect_left(times, t)
+            if idx == len(times) or times[idx] != t:
+                times.insert(idx, t)
+                avail.insert(idx, avail[idx - 1] if idx > 0 else 0)
+        lo = bisect_left(times, start - 1e-12)
+        hi = bisect_left(times, end - 1e-12)
+        avail[lo:hi] = [av - need for av in avail[lo:hi]]
 
 
 # -- the simulation -----------------------------------------------------------
@@ -883,7 +893,9 @@ class ClusterSimulation:
         starters: list[_Starting] = []
         while self._queue and self._fits_now(self._queue[0].job):
             starters.append(self._claim(self._queue.popleft().job, backfilled=False))
-        if self._queue and self.config.backfill:
+        # with no node free nothing can start now, so a backfill pass
+        # would only re-carve reservations it then discards
+        if self._queue and self.config.backfill and self._free:
             starters.extend(self._backfill_pass(now, starters))
         if starters:
             self._launch(starters, now)

@@ -7,12 +7,51 @@ that cache once so individual tests don't pay for it repeatedly.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.ear.config import EarConfig
 from repro.ear.models import train_coefficients
 from repro.hw.node import GPU_NODE, SD530, Node
 from repro.workloads.generator import synthetic_workload
+
+
+#: working-tree directories the CLI writes by default; a test that lands
+#: files there leaks state into the next run (a stale journal, a cache
+#: entry answering for changed code).
+_GUARDED = (Path("results") / ".journal", Path("results") / ".cache")
+
+
+def _files_under(directories) -> dict[Path, int]:
+    """Every file under ``directories`` with its modification time."""
+    return {
+        p: p.stat().st_mtime_ns
+        for d in directories
+        if d.is_dir()
+        for p in d.rglob("*")
+        if p.is_file()
+    }
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _hermetic_working_tree():
+    """Fail the session if any test wrote under ``results/.journal`` or
+    ``results/.cache`` (relative to the repository or the working
+    directory).  Files that were there before the session and stay
+    untouched are fine."""
+    roots = {Path(__file__).resolve().parent.parent, Path.cwd().resolve()}
+    directories = [root / d for root in roots for d in _GUARDED]
+    before = _files_under(directories)
+    yield
+    after = _files_under(directories)
+    leaked = sorted(str(p) for p, mtime in after.items() if before.get(p) != mtime)
+    if leaked:
+        pytest.fail(
+            "tests wrote into the working tree (route them to tmp_path): "
+            + ", ".join(leaked),
+            pytrace=False,
+        )
 
 
 @pytest.fixture(scope="session")

@@ -3,14 +3,16 @@
 import pytest
 
 from repro.cli import main
-from repro.experiments import parallel
+from repro.experiments import journal, parallel
 
 
 @pytest.fixture(autouse=True)
 def _isolated_execution(tmp_path, monkeypatch):
-    """Point the CLI's persistent cache at a temp dir and restore the
-    process-default pool afterwards (``main`` reconfigures it)."""
+    """Point the CLI's persistent cache and campaign journals at a temp
+    dir and restore the process-default pool afterwards (``main``
+    reconfigures it)."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(journal, "DEFAULT_JOURNAL_DIR", tmp_path / "journal")
     saved = parallel.default_pool()
     yield
     parallel._default_pool = saved
